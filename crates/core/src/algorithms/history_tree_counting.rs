@@ -8,7 +8,7 @@
 //! [`HistoryTreeLeader`] of `anonet-multigraph` — the tree is exactly the
 //! [`HistoryArena`](anonet_multigraph::HistoryArena) hash-cons the
 //! simulator already maintains, so tree nodes are interned 4-byte
-//! handles — in the same `run`/`run_traced`/`run_with_sink` surface as
+//! handles — in the same `run`/`run_with_sink` surface as
 //! [`KernelCounting`](super::KernelCounting), with the same typed
 //! [`CountingOutcome`]/[`CountingError`] results.
 //!
@@ -91,25 +91,13 @@ impl HistoryTreeCounting {
         m: &DblMultigraph,
         max_rounds: u32,
     ) -> Result<CountingOutcome, CountingError> {
-        self.run_traced(m, max_rounds).map(|(o, _)| o)
+        self.run_with_sink(m, max_rounds, &mut NullSink)
+            .map(|(o, _)| o)
     }
 
     /// Like [`HistoryTreeCounting::run`], also returning the per-round
     /// feasible population intervals (the leader's shrinking candidate
-    /// set).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HistoryTreeCounting::run`].
-    pub fn run_traced(
-        &self,
-        m: &DblMultigraph,
-        max_rounds: u32,
-    ) -> Result<(CountingOutcome, CountingTrace), CountingError> {
-        self.run_with_sink(m, max_rounds, &mut NullSink)
-    }
-
-    /// Like [`HistoryTreeCounting::run_traced`], additionally emitting
+    /// set) and emitting
     /// one [`RoundEvent`] per observed round to `sink`: the delivery
     /// count (`deliveries`), the feasible population interval
     /// (`candidate_lo`/`candidate_hi`) with its width
@@ -229,7 +217,7 @@ mod tests {
     fn trace_ranges_shrink_and_contain_truth() {
         let pair = TwinBuilder::new().build(40).unwrap();
         let (outcome, trace) = HistoryTreeCounting::new()
-            .run_traced(&pair.smaller, 32)
+            .run_with_sink(&pair.smaller, 32, &mut NullSink)
             .unwrap();
         assert_eq!(outcome.count, 40);
         let mut prev: Option<(i64, i64)> = None;

@@ -196,24 +196,13 @@ impl KernelCounting {
         m: &DblMultigraph,
         max_rounds: u32,
     ) -> Result<CountingOutcome, CountingError> {
-        self.run_traced(m, max_rounds).map(|(o, _)| o)
-    }
-
-    /// Like [`KernelCounting::run`], also returning the per-round feasible
-    /// population intervals (the leader's shrinking candidate set).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelCounting::run`].
-    pub fn run_traced(
-        &self,
-        m: &DblMultigraph,
-        max_rounds: u32,
-    ) -> Result<(CountingOutcome, CountingTrace), CountingError> {
         self.run_with_sink(m, max_rounds, &mut NullSink)
+            .map(|(o, _)| o)
     }
 
-    /// Like [`KernelCounting::run_traced`], additionally emitting one
+    /// Like [`KernelCounting::run`], also returning the per-round
+    /// feasible population intervals (the leader's shrinking candidate
+    /// set) and emitting one
     /// [`RoundEvent`] per observed round to `sink`: the feasible
     /// population interval (`candidate_lo`/`candidate_hi`), the number of
     /// feasible censuses on the affine line (`candidate_count`), the
@@ -410,7 +399,7 @@ mod tests {
     #[test]
     fn trace_ranges_shrink_and_contain_truth() {
         let pair = TwinBuilder::new().build(25).unwrap();
-        let (outcome, trace) = KernelCounting::new().run_traced(&pair.smaller, 32).unwrap();
+        let (outcome, trace) = KernelCounting::new().run_with_sink(&pair.smaller, 32, &mut NullSink).unwrap();
         assert_eq!(outcome.count, 25);
         let mut prev: Option<(i64, i64)> = None;
         for &(lo, hi) in &trace.candidate_ranges {
@@ -456,7 +445,7 @@ mod tests {
         use anonet_multigraph::system::solve_census;
         use anonet_multigraph::Observations;
         let pair = TwinBuilder::new().build(26).unwrap();
-        let (outcome, trace) = KernelCounting::new().run_traced(&pair.smaller, 32).unwrap();
+        let (outcome, trace) = KernelCounting::new().run_with_sink(&pair.smaller, 32, &mut NullSink).unwrap();
         assert_eq!(outcome.count, 26);
         for (i, &range) in trace.candidate_ranges.iter().enumerate() {
             let obs = Observations::observe(&pair.smaller, i + 1).unwrap();

@@ -8,9 +8,9 @@
 //! * a [`RoundSource`] produces the leader's observations: one
 //!   [`RoundColumns`] per synchronous round, with every delivered
 //!   history interned in the source's [`HistoryArena`];
-//! * [`run_source_verdict`] feeds them to the matching guarded session
-//!   ([`GuardedKernelSession`] / [`GuardedHistoryTreeSession`]) and
-//!   reduces the run to a [`Verdict`];
+//! * [`run_source_verdict`] feeds them to a [`Guarded`] session over
+//!   the matching leader ([`WatchedLeader`] / [`WatchedHistoryTree`])
+//!   and reduces the run to a [`Verdict`];
 //! * transport failure is **fail-closed**: a [`TransportError`] (round
 //!   deadline missed, connection lost, protocol breach) converts the
 //!   run to [`Verdict::Undecided`] — never a count the remaining rounds
@@ -23,7 +23,9 @@
 //! runners, which is what lets `exp_net` byte-compare socketed verdicts
 //! against the in-memory oracle.
 
-use crate::verdict::{FaultPlan, GuardedHistoryTreeSession, GuardedKernelSession, Verdict};
+use crate::verdict::{
+    FaultPlan, Guarded, GuardedLeader, Verdict, WatchedHistoryTree, WatchedLeader,
+};
 use anonet_multigraph::faults::FaultedExecution;
 use anonet_multigraph::simulate::Execution;
 use anonet_multigraph::{HistoryArena, RoundColumns};
@@ -97,9 +99,10 @@ pub trait RoundSource {
 /// The algorithm a [`run_source_verdict`] call drives over the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportAlgorithm {
-    /// Kernel counting under a [`GuardedKernelSession`].
+    /// Kernel counting under a [`GuardedKernelSession`](crate::verdict::GuardedKernelSession).
     Kernel,
-    /// History-tree counting under a [`GuardedHistoryTreeSession`].
+    /// History-tree counting under a
+    /// [`GuardedHistoryTreeSession`](crate::verdict::GuardedHistoryTreeSession).
     HistoryTree,
 }
 
@@ -142,35 +145,33 @@ pub fn run_source_verdict_with_sink<T: RoundSource, S: TraceSink>(
     sink: &mut S,
 ) -> Verdict {
     match alg {
-        TransportAlgorithm::Kernel => {
-            let mut session = GuardedKernelSession::new();
-            for _ in 0..max_rounds {
-                let round = match source.next_round() {
-                    Ok(Some(round)) => round,
-                    Ok(None) => break,
-                    Err(_) => return session.interrupt(sink),
-                };
-                if let Some(v) = session.step(source.arena(), &round, plan, sink) {
-                    return v;
-                }
-            }
-            session.finish(max_rounds, sink)
-        }
+        TransportAlgorithm::Kernel => drive::<WatchedLeader, _, _>(source, max_rounds, plan, sink),
         TransportAlgorithm::HistoryTree => {
-            let mut session = GuardedHistoryTreeSession::new();
-            for _ in 0..max_rounds {
-                let round = match source.next_round() {
-                    Ok(Some(round)) => round,
-                    Ok(None) => break,
-                    Err(_) => return session.interrupt(sink),
-                };
-                if let Some(v) = session.step(source.arena(), &round, plan, sink) {
-                    return v;
-                }
-            }
-            session.finish(max_rounds, sink)
+            drive::<WatchedHistoryTree, _, _>(source, max_rounds, plan, sink)
         }
     }
+}
+
+/// Steps a fresh [`Guarded`] session through up to `max_rounds` rounds
+/// of `source`; a transport error interrupts it.
+fn drive<L: GuardedLeader + Default, T: RoundSource, S: TraceSink>(
+    source: &mut T,
+    max_rounds: u32,
+    plan: &FaultPlan,
+    sink: &mut S,
+) -> Verdict {
+    let mut session = Guarded::<L>::new();
+    for _ in 0..max_rounds {
+        let round = match source.next_round() {
+            Ok(Some(round)) => round,
+            Ok(None) => break,
+            Err(_) => return session.interrupt(sink),
+        };
+        if let Some(v) = session.step(source.arena(), &round, plan, sink) {
+            return v;
+        }
+    }
+    session.finish(max_rounds, sink)
 }
 
 /// [`RoundSource`] over an in-memory execution: yields each stored
@@ -200,7 +201,8 @@ impl RoundSource for ExecutionSource {
     }
 
     fn next_round(&mut self) -> Result<Option<RoundColumns>, TransportError> {
-        let round = self.execution.rounds.get(self.next).cloned();
+        // The source owns the execution and never revisits a round.
+        let round = self.execution.rounds.get_mut(self.next).map(std::mem::take);
         self.next += 1;
         Ok(round)
     }

@@ -27,6 +27,26 @@
 //! | [`pushsum_verdict`] | push-sum baseline | [`FaultPlan::network_plan`] on edges |
 //! | [`enumeration_verdict`] | exhaustive enumeration | [`FaultPlan::network_plan`] on edges |
 //!
+//! # One guarded session
+//!
+//! The two exact `M(DBL)_2` algorithms share one guarded session,
+//! [`Guarded<L>`](Guarded), generic over the leader contract
+//! [`GuardedLeader`]. A leader brings its own screens through four
+//! operations: restart, screen a pre-decision round (returning its
+//! trace event and an optional decision), confirm a post-decision round
+//! and report its candidates. Kernel counting implements it as
+//! [`WatchedLeader`], history-tree counting as [`WatchedHistoryTree`].
+//! The session does the rest once, for both: the absolute round
+//! counter, restarts from the plan, the decide-once rule, silent
+//! confirmation through the horizon, the `fault` facet, the final
+//! `violation` event, and [`finish`](Guarded::finish) /
+//! [`interrupt`](Guarded::interrupt). [`GuardedKernelSession`] and
+//! [`GuardedHistoryTreeSession`] name its two instances. Two loops
+//! drive it: [`Guarded::replay`] over an execution's rounds
+//! ([`kernel_verdict`], [`history_tree_verdict`], [`watched_verdict`])
+//! and [`run_source_verdict`](crate::transport::run_source_verdict)
+//! over a [`RoundSource`](crate::transport::RoundSource).
+//!
 //! With `watchdogs = false` each runner reproduces the unguarded
 //! algorithm: it reports whatever count the leader decides (possibly
 //! silently wrong under faults — the contrast `exp_faults` measures) and
@@ -66,20 +86,20 @@ use crate::baselines::mass_drain::run_mass_drain;
 use crate::baselines::pushsum::run_pushsum;
 use anonet_graph::faults::FaultyNetwork;
 use anonet_graph::{check_interval_connectivity, DynamicNetwork};
-use anonet_multigraph::history_tree::{HistoryTreeError, HistoryTreeLeader};
+use anonet_multigraph::history_tree::HistoryTreeLeader;
 use anonet_multigraph::mutate::AdversarySchedule;
 use anonet_multigraph::simulate::OnlineLeader;
-use anonet_multigraph::LabelSet;
 use anonet_multigraph::system_k::GeneralSystem;
 use anonet_multigraph::transform;
 use anonet_multigraph::DblMultigraph;
-use anonet_multigraph::{HistoryArena, RoundColumns};
 use anonet_trace::{NullSink, RoundEvent, TraceSink};
 
 pub use anonet_multigraph::faults::{
     simulate_with_faults, thin_multigraph, watched_verdict, FaultEvent, FaultKind, FaultPlan,
-    FaultRecord, FaultedExecution, Verdict, Violation, ViolationKind, WatchedLeader, WatchedRound,
+    FaultRecord, FaultedExecution, Guarded, GuardedLeader, Verdict, Violation, ViolationKind,
+    WatchedLeader, WatchedRound,
 };
+pub use anonet_multigraph::history_tree::WatchedHistoryTree;
 
 /// The growth of the flat constant-terms vector `m_r` at `level`
 /// (`2·3^level` new entries, saturating) — matches the `state_size`
@@ -122,166 +142,18 @@ pub fn kernel_verdict_with_sink<S: TraceSink>(
 ) -> Verdict {
     let faulted = simulate_with_faults(m, max_rounds as usize, plan);
     if watchdogs {
-        kernel_guarded(&faulted, max_rounds, plan, sink)
+        GuardedKernelSession::new().replay(&faulted.execution, max_rounds, plan, sink)
     } else {
         kernel_unguarded(&faulted, max_rounds, plan, sink)
     }
 }
 
-/// The guarded kernel runner as an **incremental session**: the exact
-/// loop body of [`kernel_verdict`]'s watchdog arm, factored out so that
-/// rounds can arrive one at a time from any transport — the in-memory
-/// [`FaultedExecution`] here, a [`RoundSource`](crate::transport::RoundSource)
-/// over real sockets in `anonet-net`.
-///
-/// Feed each observed round to [`step`](GuardedKernelSession::step); a
-/// `Some(verdict)` return is terminal (a watchdog fired and the
-/// violation event was already emitted). When the stream ends, close
-/// with [`finish`](GuardedKernelSession::finish). Driving a session this
-/// way over an execution's rounds is byte-for-byte the old inline loop —
-/// the empty-plan trace-identity tests pin it.
-pub struct GuardedKernelSession {
-    leader: WatchedLeader,
-    state_size: u64,
-    decided: Option<(u64, u32)>,
-    round: u32,
-}
-
-impl Default for GuardedKernelSession {
-    fn default() -> GuardedKernelSession {
-        GuardedKernelSession::new()
-    }
-}
-
-impl GuardedKernelSession {
-    /// A fresh session: a [`WatchedLeader`] before its first round.
-    pub fn new() -> GuardedKernelSession {
-        GuardedKernelSession {
-            leader: WatchedLeader::new(),
-            state_size: 0,
-            decided: None,
-            round: 0,
-        }
-    }
-
-    /// Rounds ingested so far.
-    pub fn rounds_seen(&self) -> u32 {
-        self.round
-    }
-
-    /// The provisional decision, if one was reached (still being
-    /// confirmed until the stream ends).
-    pub fn decision(&self) -> Option<(u64, u32)> {
-        self.decided
-    }
-
-    /// The leader's current candidate interval.
-    pub fn candidates(&self) -> Option<(i64, i64)> {
-        self.leader.candidates()
-    }
-
-    /// Ingests the next observed round. Returns `Some(verdict)` when a
-    /// watchdog fires — terminal, the violation event has been emitted
-    /// and flushed — and `None` to continue.
-    pub fn step<S: TraceSink>(
-        &mut self,
-        arena: &HistoryArena,
-        round: &RoundColumns,
-        plan: &FaultPlan,
-        sink: &mut S,
-    ) -> Option<Verdict> {
-        let r32 = self.round;
-        self.round += 1;
-        if plan.has_restart_at(r32) {
-            self.leader.restart();
-        }
-        // Confirmation is budgeted: past the solver's column budget the
-        // remaining post-decision rounds keep only the allocation-free
-        // watchdogs (growing the O(3^level) system to a distant horizon
-        // would cost gigabytes).
-        let screened = if self.decided.is_some() && !self.leader.within_confirm_budget() {
-            self.leader
-                .confirm_screen(arena, round, r32 as usize)
-                .map(|()| None)
-        } else {
-            self.leader.ingest(arena, round).map(Some)
-        };
-        match screened {
-            Err(v) => {
-                let mut ev = RoundEvent::new(r32).violation(v.kind.label());
-                if let Some(f) = plan.labels_at(r32) {
-                    ev = ev.fault(&f);
-                }
-                sink.record(&ev);
-                sink.flush();
-                Some(Verdict::ModelViolation {
-                    kind: v.kind,
-                    round: v.round,
-                })
-            }
-            // Trace emission stops at the decision round; the
-            // confirmation rounds that follow are silent so that
-            // empty-plan traces match the plain algorithm exactly.
-            Ok(Some(wr)) if self.decided.is_none() => {
-                self.state_size = self.state_size.saturating_add(level_state_growth(r32));
-                let mut ev = RoundEvent::new(r32)
-                    .candidates(wr.range.0, wr.range.1)
-                    .candidate_count(wr.solution_count)
-                    .kernel_dim(wr.kernel_dim)
-                    .state_size(self.state_size);
-                if let Some(f) = plan.labels_at(r32) {
-                    ev = ev.fault(&f);
-                }
-                sink.record(&ev);
-                if let Some(count) = wr.decision {
-                    self.decided = Some((count, r32 + 1));
-                }
-                None
-            }
-            Ok(_) => None,
-        }
-    }
-
-    /// Closes the stream after `max_rounds` were available: the
-    /// confirmed decision or a decision-less horizon.
-    pub fn finish<S: TraceSink>(self, max_rounds: u32, sink: &mut S) -> Verdict {
-        sink.flush();
-        match self.decided {
-            Some((count, rounds)) => Verdict::Correct { count, rounds },
-            None => Verdict::Undecided {
-                rounds: max_rounds,
-                candidates: self.leader.candidates(),
-            },
-        }
-    }
-
-    /// Closes the stream **early** (the transport failed — timeout,
-    /// closed connection): always [`Verdict::Undecided`], never an
-    /// unconfirmed count. Fail-closed even when a provisional decision
-    /// exists, because the remaining confirmation rounds never arrived.
-    pub fn interrupt<S: TraceSink>(self, sink: &mut S) -> Verdict {
-        sink.flush();
-        Verdict::Undecided {
-            rounds: self.round,
-            candidates: self.leader.candidates(),
-        }
-    }
-}
-
-fn kernel_guarded<S: TraceSink>(
-    faulted: &FaultedExecution,
-    max_rounds: u32,
-    plan: &FaultPlan,
-    sink: &mut S,
-) -> Verdict {
-    let mut session = GuardedKernelSession::new();
-    for round in &faulted.execution.rounds {
-        if let Some(v) = session.step(&faulted.execution.arena, round, plan, sink) {
-            return v;
-        }
-    }
-    session.finish(max_rounds, sink)
-}
+/// The guarded kernel session: a [`Guarded`] session over a
+/// [`WatchedLeader`]. Rounds arrive one at a time from any transport —
+/// the in-memory [`FaultedExecution`] in [`kernel_verdict`], a
+/// [`RoundSource`](crate::transport::RoundSource) over real sockets in
+/// `anonet-net`.
+pub type GuardedKernelSession = Guarded<WatchedLeader>;
 
 fn kernel_unguarded<S: TraceSink>(
     faulted: &FaultedExecution,
@@ -345,30 +217,27 @@ fn kernel_unguarded<S: TraceSink>(
 /// reduces the run to a [`Verdict`].
 ///
 /// With `watchdogs = true` the alternating-spine-sum leader of
-/// [`HistoryTreeCounting`](crate::algorithms::HistoryTreeCounting) is
-/// wrapped in fail-closed screens: malformed deliveries are
-/// [`ViolationKind::DeliveryIntegrity`], an empty pre-decision round is
-/// [`ViolationKind::Connectivity`], a growing spine delivery count, an
-/// empty candidate intersection, a raw candidate interval escaping its
-/// predecessor (in-model the per-round intervals nest), a zero count or
-/// a post-decision spine *resurrection* (a full-spine history appearing
-/// after the spine died) are [`ViolationKind::CensusConservation`].
+/// [`HistoryTreeCounting`](crate::algorithms::HistoryTreeCounting) runs
+/// as a [`WatchedHistoryTree`] in a [`GuardedHistoryTreeSession`]; its
+/// docs list the screens. They are deliberately `O(1)` per round on top
+/// of the leader's own `O(deliveries)`, and the price is weaker
+/// detection than the kernel's:
 ///
-/// The screens are deliberately `O(1)` per round on top of the leader's
-/// own `O(deliveries)` — the whole point of this algorithm family is to
-/// avoid the kernel's observation system. The price is strictly weaker
-/// detection: a fault that leaves the delivery stream consistent with a
-/// clean execution of a *different* size at the spine statistics'
-/// granularity (e.g. crashing part of a history class mid-run) can slip
-/// through guarded — but only when the full observation system would
-/// also find that wrong size uniquely feasible, i.e. exactly when the
-/// *unguarded* kernel is fooled identically (pinned by the
-/// cross-algorithm agreement suite in `tests/algorithm_agreement.rs`). A leader restart leaves
-/// the fresh leader expecting round-0 histories, so the next faulted
-/// round trips the integrity screen — matching the kernel runner's
-/// restart semantics. With `watchdogs = false` the unguarded leader
-/// reports whatever the spine sums say (possibly silently wrong under
-/// faults) and maps ingestion errors to [`Verdict::Undecided`].
+/// * a fault that leaves the delivery stream consistent with a clean
+///   execution of a *different* size at the spine statistics'
+///   granularity (e.g. crashing part of a history class mid-run) can
+///   slip through guarded with a wrong count (the corpus escapes are
+///   bounded in `tests/algorithm_agreement.rs`, and
+///   `tests/faulted_traces.rs` pins every E22a outcome);
+/// * the raw-interval nesting screen is not implied by the model: on
+///   every clean twin whose spine never dies it reports
+///   [`ViolationKind::CensusConservation`] at `horizon + 1` (n=13 @3,
+///   n=41 @4, n=121 @5, n=365 @6, n=1093 @7), a false alarm pinned by
+///   `tests/algorithm_agreement.rs`.
+///
+/// With `watchdogs = false` the unguarded leader reports whatever the
+/// spine sums say (possibly silently wrong under faults) and maps
+/// ingestion errors to [`Verdict::Undecided`].
 pub fn history_tree_verdict(
     m: &DblMultigraph,
     max_rounds: u32,
@@ -394,228 +263,16 @@ pub fn history_tree_verdict_with_sink<S: TraceSink>(
 ) -> Verdict {
     let faulted = simulate_with_faults(m, max_rounds as usize, plan);
     if watchdogs {
-        history_tree_guarded(&faulted, max_rounds, plan, sink)
+        GuardedHistoryTreeSession::new().replay(&faulted.execution, max_rounds, plan, sink)
     } else {
         history_tree_unguarded(&faulted, max_rounds, plan, sink)
     }
 }
 
-/// Maps a leader error to the model assumption it breaks: spine-sum
-/// contradictions are conservation failures, everything else is a
-/// malformed delivery.
-fn history_tree_violation(e: &HistoryTreeError) -> ViolationKind {
-    match e {
-        HistoryTreeError::InconsistentCensus { .. } => ViolationKind::CensusConservation,
-        _ => ViolationKind::DeliveryIntegrity,
-    }
-}
-
-/// The guarded history-tree runner as an **incremental session** — the
-/// exact loop body of [`history_tree_verdict`]'s watchdog arm, factored
-/// out for round-at-a-time transports the same way as
-/// [`GuardedKernelSession`]. Same protocol: [`step`](Self::step) until
-/// it returns a terminal verdict, then [`finish`](Self::finish) (stream
-/// complete) or [`interrupt`](Self::interrupt) (transport failure,
-/// fail-closed to [`Verdict::Undecided`]).
-pub struct GuardedHistoryTreeSession {
-    leader: HistoryTreeLeader,
-    prev_spine: Option<u64>,
-    prev_raw: Option<(i64, i64)>,
-    decided: Option<(u64, u32)>,
-    round: u32,
-}
-
-impl Default for GuardedHistoryTreeSession {
-    fn default() -> GuardedHistoryTreeSession {
-        GuardedHistoryTreeSession::new()
-    }
-}
-
-impl GuardedHistoryTreeSession {
-    /// A fresh session: a [`HistoryTreeLeader`] before its first round.
-    pub fn new() -> GuardedHistoryTreeSession {
-        GuardedHistoryTreeSession {
-            leader: HistoryTreeLeader::new(),
-            prev_spine: None,
-            prev_raw: None,
-            decided: None,
-            round: 0,
-        }
-    }
-
-    /// Rounds ingested so far.
-    pub fn rounds_seen(&self) -> u32 {
-        self.round
-    }
-
-    /// The provisional decision, if one was reached.
-    pub fn decision(&self) -> Option<(u64, u32)> {
-        self.decided
-    }
-
-    /// The leader's current candidate interval.
-    pub fn candidates(&self) -> Option<(i64, i64)> {
-        self.leader.candidates()
-    }
-
-    /// Ingests the next observed round. Returns `Some(verdict)` when a
-    /// screen fires — terminal, violation event emitted and flushed —
-    /// and `None` to continue.
-    pub fn step<S: TraceSink>(
-        &mut self,
-        arena: &HistoryArena,
-        round: &RoundColumns,
-        plan: &FaultPlan,
-        sink: &mut S,
-    ) -> Option<Verdict> {
-        let r32 = self.round;
-        self.round += 1;
-        if plan.has_restart_at(r32) {
-            // State loss: the fresh leader expects round-0 histories, so
-            // any further delivery fails the integrity screen below.
-            self.leader = HistoryTreeLeader::new();
-            self.prev_spine = None;
-            self.prev_raw = None;
-        }
-        if self.decided.is_some() {
-            // Post-decision confirmation screen: the spine is dead, so
-            // beyond well-formedness the only thing left to watch is a
-            // full-spine history coming back from the grave.
-            if round.is_empty() {
-                return Some(violation_verdict(ViolationKind::Connectivity, r32, plan, sink));
-            }
-            for d in round.iter() {
-                let well_formed = arena.history_len(d.state) == r32 as usize
-                    && arena.is_ternary(d.state)
-                    && (d.label == 1 || d.label == 2);
-                if !well_formed {
-                    return Some(violation_verdict(
-                        ViolationKind::DeliveryIntegrity,
-                        r32,
-                        plan,
-                        sink,
-                    ));
-                }
-                let resurrected = arena
-                    .masks(d.state)
-                    .iter()
-                    .all(|&mask| mask == LabelSet::L12.mask());
-                if resurrected {
-                    return Some(violation_verdict(
-                        ViolationKind::CensusConservation,
-                        r32,
-                        plan,
-                        sink,
-                    ));
-                }
-            }
-            return None;
-        }
-        // In-model every live node delivers at least one message per
-        // round; an empty round would otherwise read as spine death.
-        if round.is_empty() {
-            return Some(violation_verdict(ViolationKind::Connectivity, r32, plan, sink));
-        }
-        match self.leader.ingest(arena, round) {
-            Err(e) => Some(violation_verdict(history_tree_violation(&e), r32, plan, sink)),
-            Ok(step) => {
-                // In-model d_r = g_r + g_{r+1} is non-increasing; growth
-                // means deliveries were forged or replayed.
-                let spine = self.leader.spine_deliveries();
-                if self.prev_spine.is_some_and(|p| spine > p) {
-                    return Some(violation_verdict(
-                        ViolationKind::CensusConservation,
-                        r32,
-                        plan,
-                        sink,
-                    ));
-                }
-                self.prev_spine = Some(spine);
-                // In-model the raw per-round intervals nest (the spine
-                // telescope only ever tightens); a raw interval escaping
-                // its predecessor witnesses an out-of-model census even
-                // while the running intersection stays non-empty —
-                // the same screen the kernel's watcher applies to its
-                // per-level population ranges.
-                if let (Some((plo, phi)), Some((lo, hi))) =
-                    (self.prev_raw, self.leader.raw_candidates())
-                {
-                    if lo < plo || hi > phi {
-                        return Some(violation_verdict(
-                            ViolationKind::CensusConservation,
-                            r32,
-                            plan,
-                            sink,
-                        ));
-                    }
-                }
-                self.prev_raw = self.leader.raw_candidates();
-                let (lo, hi) = self.leader.candidates().unwrap_or((0, i64::MAX));
-                let mut ev = RoundEvent::new(r32)
-                    .deliveries(round.len() as u64)
-                    .candidates(lo, hi)
-                    .candidate_count((hi - lo + 1) as u64)
-                    .state_size(self.leader.classes())
-                    .spine(spine);
-                if let Some(f) = plan.labels_at(r32) {
-                    ev = ev.fault(&f);
-                }
-                sink.record(&ev);
-                if let Some(count) = step {
-                    if count == 0 {
-                        // A non-empty round cannot come from zero nodes.
-                        return Some(violation_verdict(
-                            ViolationKind::CensusConservation,
-                            r32,
-                            plan,
-                            sink,
-                        ));
-                    }
-                    self.decided = Some((count, r32 + 1));
-                }
-                None
-            }
-        }
-    }
-
-    /// Closes the stream after `max_rounds` were available: the
-    /// confirmed decision or a decision-less horizon.
-    pub fn finish<S: TraceSink>(self, max_rounds: u32, sink: &mut S) -> Verdict {
-        sink.flush();
-        match self.decided {
-            Some((count, rounds)) => Verdict::Correct { count, rounds },
-            None => Verdict::Undecided {
-                rounds: max_rounds,
-                candidates: self.leader.candidates(),
-            },
-        }
-    }
-
-    /// Closes the stream **early** (transport failure): always
-    /// [`Verdict::Undecided`], never an unconfirmed count.
-    pub fn interrupt<S: TraceSink>(self, sink: &mut S) -> Verdict {
-        sink.flush();
-        Verdict::Undecided {
-            rounds: self.round,
-            candidates: self.leader.candidates(),
-        }
-    }
-}
-
-fn history_tree_guarded<S: TraceSink>(
-    faulted: &FaultedExecution,
-    max_rounds: u32,
-    plan: &FaultPlan,
-    sink: &mut S,
-) -> Verdict {
-    let mut session = GuardedHistoryTreeSession::new();
-    for round in &faulted.execution.rounds {
-        if let Some(v) = session.step(&faulted.execution.arena, round, plan, sink) {
-            return v;
-        }
-    }
-    session.finish(max_rounds, sink)
-}
+/// The guarded history-tree session: a [`Guarded`] session over a
+/// [`WatchedHistoryTree`], with the same protocol as
+/// [`GuardedKernelSession`].
+pub type GuardedHistoryTreeSession = Guarded<WatchedHistoryTree>;
 
 fn history_tree_unguarded<S: TraceSink>(
     faulted: &FaultedExecution,

@@ -27,6 +27,11 @@
 //!   model, see the per-check notes); out-of-model executions either
 //!   trip one or leave the leader undecided — never a silently wrong
 //!   count.
+//! * [`GuardedLeader`] and [`Guarded`] — the leader contract and the one
+//!   generic session both exact leaders run under ([`WatchedLeader`] and
+//!   [`WatchedHistoryTree`](crate::history_tree::WatchedHistoryTree)):
+//!   restarts, decide-once, post-decision confirmation and tracing,
+//!   written once.
 //! * [`Verdict`] — the typed final answer every fault-aware runner in
 //!   `anonet-core` reports: `Correct(count)`, `Undecided`, or
 //!   `ModelViolation(kind, round)`.
@@ -66,6 +71,7 @@ use crate::simulate::Execution;
 use crate::soa::{RoundColumns, RoundEngine};
 use crate::system::{IncrementalSolver, ObservationKernel};
 use anonet_graph::faults::NetworkFaultPlan;
+use anonet_trace::{NullSink, RoundEvent, TraceSink};
 use core::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -611,7 +617,7 @@ const WATCHDOG_KERNEL_MAX_COLUMNS: usize = 243;
 /// allocates `O(3^level)` per ingested level, so confirming all the way
 /// to a large horizon is unaffordable (level 20 alone is gigabytes).
 /// Past `3^10` unknowns the confirmation rounds fall back to the
-/// allocation-free watchdogs ([`WatchedLeader::confirm_screen`]):
+/// allocation-free watchdogs (`WatchedLeader::confirm_screen`):
 /// delivery integrity and connectivity against the frozen candidate
 /// range. The budget leaves at least two full solver-backed
 /// confirmation rounds after the decision for every `n` up to a few
@@ -667,9 +673,9 @@ pub struct WatchedRound {
 ///    premise of the unique-solution decision rule.
 ///
 /// A tripped watchdog latches: every later `ingest` returns the same
-/// [`Violation`], and [`WatchedLeader::restart`] (state loss) does not
-/// clear it — the *process* restarted, the detection already escaped to
-/// the caller.
+/// [`Violation`], and a [restart](GuardedLeader::restart) (state loss)
+/// does not clear it — the *process* restarted, the detection already
+/// escaped to the caller.
 #[derive(Debug)]
 pub struct WatchedLeader {
     solver: IncrementalSolver,
@@ -677,7 +683,6 @@ pub struct WatchedLeader {
     prev_range: Option<(i64, i64)>,
     absolute_round: u32,
     violation: Option<Violation>,
-    decided: Option<u64>,
     // Reusable observation scratch, as in `OnlineLeader`.
     al: Vec<i64>,
     bl: Vec<i64>,
@@ -698,26 +703,9 @@ impl WatchedLeader {
             prev_range: None,
             absolute_round: 0,
             violation: None,
-            decided: None,
             al: Vec::new(),
             bl: Vec::new(),
         }
-    }
-
-    /// Simulates a leader restart with state loss: the observation
-    /// system, kernel tracker and candidate range are wiped; the
-    /// absolute round counter and any latched violation survive (they
-    /// belong to the caller's timeline, not the leader's memory).
-    pub fn restart(&mut self) {
-        self.solver = IncrementalSolver::new();
-        self.kernel = ObservationKernel::new();
-        self.prev_range = None;
-        self.decided = None;
-    }
-
-    /// The decision, if already made.
-    pub fn decision(&self) -> Option<u64> {
-        self.decided
     }
 
     /// The latched violation, if a watchdog has fired.
@@ -725,37 +713,13 @@ impl WatchedLeader {
         self.violation
     }
 
-    /// The current candidate population interval (`None` before the
-    /// first round, after a violation, or when infeasible).
-    pub fn candidates(&self) -> Option<(i64, i64)> {
-        self.prev_range
-    }
-
-    /// Absolute rounds ingested (including rounds lost to restarts).
-    pub fn rounds_ingested(&self) -> u32 {
-        self.absolute_round
-    }
-
-    /// Whether the *next* [`WatchedLeader::ingest`] still fits the
-    /// confirmation column budget. Once it does not, post-decision
-    /// callers should switch to [`WatchedLeader::confirm_screen`]
-    /// instead of growing the `O(3^level)` observation system further.
-    pub fn within_confirm_budget(&self) -> bool {
-        within_column_budget(self.solver.levels() + 1, WATCHDOG_CONFIRM_MAX_COLUMNS)
-    }
-
     /// The allocation-free subset of the watchdogs, for confirmation
-    /// rounds past [the column budget](WatchedLeader::within_confirm_budget):
-    /// delivery integrity (labels in `{1, 2}`, states are well-formed
-    /// ternary histories of length `expected_len` — the execution round
-    /// index) and 1-interval connectivity against the frozen candidate
-    /// range. The observation system is *not* grown.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Violation`] the first (and every later) time a
-    /// watchdog fires, exactly like [`WatchedLeader::ingest`].
-    pub fn confirm_screen(
+    /// rounds past `WATCHDOG_CONFIRM_MAX_COLUMNS`: delivery integrity
+    /// (labels in `{1, 2}`, states are well-formed ternary histories of
+    /// length `expected_len`, the execution round index) and 1-interval
+    /// connectivity against the frozen candidate range. The observation
+    /// system is *not* grown. Latches like [`WatchedLeader::ingest`].
+    fn confirm_screen(
         &mut self,
         arena: &HistoryArena,
         deliveries: &RoundColumns,
@@ -880,12 +844,8 @@ impl WatchedLeader {
         }
         self.prev_range = Some(range);
         self.absolute_round = self.absolute_round.saturating_add(1);
-        let decision = sol.unique_population().map(|c| c as u64);
-        if let Some(c) = decision {
-            self.decided = Some(c);
-        }
         Ok(WatchedRound {
-            decision,
+            decision: sol.unique_population().map(|c| c as u64),
             range,
             solution_count: sol.solution_count() as u64,
             kernel_dim,
@@ -893,66 +853,260 @@ impl WatchedLeader {
     }
 }
 
-/// Runs the fault-injected protocol end to end and reduces it to a
-/// [`Verdict`]: simulate `max_rounds` rounds of `m` under `plan`, feed
-/// every round through a [`WatchedLeader`], and — crucially — **keep
-/// watching after the decision**. A fault striking exactly the decision
-/// round can leave the deficient observation system coincidentally
-/// consistent (the `simulate` tests show drops undercounting this way);
-/// the inconsistency then materializes within a round or two, when the
-/// pretend histories fail to extend. The leader therefore decides
-/// *provisionally* and confirms through the horizon: any later watchdog
-/// trip converts the run to [`Verdict::ModelViolation`].
+/// Length of the flat constant-terms vector `m_r` once levels
+/// `0..=level` are observed: `Σ 2·3^l = 3^{level+1} − 1`, saturating.
+/// The `state_size` facet of kernel counting traces.
+fn constant_terms_len(level: u32) -> u64 {
+    level
+        .checked_add(1)
+        .and_then(|e| 3u64.checked_pow(e))
+        .map_or(u64::MAX, |p| p - 1)
+}
+
+/// The leader contract of a guarded counting session ([`Guarded`]):
+/// a counting leader wrapped in its own fail-closed screens.
 ///
-/// On in-model executions the confirmation never fires and the verdict
-/// is `Correct` with the same count and decision round as the plain
-/// algorithms — trace emission (in `anonet-core`'s fault-aware runners)
-/// stops at the decision round, so empty-plan traces stay byte-identical.
-///
-/// Confirmation is budgeted: once the solver's next level would exceed
-/// [`WatchedLeader::within_confirm_budget`]'s column budget, the
-/// remaining post-decision rounds run only the allocation-free
-/// watchdogs ([`WatchedLeader::confirm_screen`]) — growing the
-/// `O(3^level)` observation system to a distant horizon would otherwise
-/// cost gigabytes.
-pub fn watched_verdict(m: &DblMultigraph, max_rounds: u32, plan: &FaultPlan) -> Verdict {
-    let faulted = simulate_with_faults(m, max_rounds as usize, plan);
-    let mut leader = WatchedLeader::new();
-    let mut decided: Option<(u64, u32)> = None;
-    for (r, round) in faulted.execution.rounds.iter().enumerate() {
-        if plan.has_restart_at(r as u32) {
-            leader.restart();
-        }
-        let screened = if decided.is_some() && !leader.within_confirm_budget() {
-            leader
-                .confirm_screen(&faulted.execution.arena, round, r)
-                .map(|()| None)
+/// [`Guarded`] calls [`screen`](GuardedLeader::screen) on every round
+/// until the leader decides and [`confirm`](GuardedLeader::confirm) on
+/// every round after that. `round` is always the session's absolute
+/// round index (restarts included), which is also the length of every
+/// in-model delivered history. Two leaders implement it:
+/// [`WatchedLeader`] (kernel counting) and
+/// [`WatchedHistoryTree`](crate::history_tree::WatchedHistoryTree)
+/// (history-tree counting).
+pub trait GuardedLeader {
+    /// Leader state loss: forget every observation. Detections already
+    /// reported stay reported; the session keeps its round counter.
+    fn restart(&mut self);
+
+    /// Screens and ingests the pre-decision round `round`. Returns the
+    /// round's trace event (without the `fault` facet, which the
+    /// session adds) and the count, if this round decides.
+    ///
+    /// # Errors
+    ///
+    /// The [`Violation`] a screen caught; the session ends on it.
+    fn screen(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<(RoundEvent, Option<u64>), Violation>;
+
+    /// Screens the post-decision confirmation round `round`. Nothing is
+    /// traced: the decision stands unless a screen fires.
+    ///
+    /// # Errors
+    ///
+    /// The [`Violation`] a screen caught; the session ends on it.
+    fn confirm(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<(), Violation>;
+
+    /// The leader's current candidate population interval.
+    fn candidates(&self) -> Option<(i64, i64)>;
+}
+
+impl GuardedLeader for WatchedLeader {
+    /// Wipes the observation system, kernel tracker and candidate
+    /// range; the absolute round counter and any latched violation
+    /// survive (they belong to the caller's timeline, not the leader's
+    /// memory).
+    fn restart(&mut self) {
+        self.solver = IncrementalSolver::new();
+        self.kernel = ObservationKernel::new();
+        self.prev_range = None;
+    }
+
+    /// All four watchdogs, traced with the same facets as plain kernel
+    /// counting.
+    fn screen(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<(RoundEvent, Option<u64>), Violation> {
+        let wr = self.ingest(arena, deliveries)?;
+        let event = RoundEvent::new(round)
+            .candidates(wr.range.0, wr.range.1)
+            .candidate_count(wr.solution_count)
+            .kernel_dim(wr.kernel_dim)
+            .state_size(constant_terms_len(round));
+        Ok((event, wr.decision))
+    }
+
+    /// Confirmation is budgeted: while the next level fits the
+    /// confirmation column budget the round runs all four watchdogs;
+    /// past it only the allocation-free delivery-integrity and
+    /// connectivity checks run, since growing the `O(3^level)` system
+    /// to a distant horizon would cost gigabytes.
+    fn confirm(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        round: u32,
+    ) -> Result<(), Violation> {
+        if within_column_budget(self.solver.levels() + 1, WATCHDOG_CONFIRM_MAX_COLUMNS) {
+            self.ingest(arena, deliveries).map(|_| ())
         } else {
-            leader.ingest(&faulted.execution.arena, round).map(Some)
+            self.confirm_screen(arena, deliveries, round as usize)
+        }
+    }
+
+    /// `None` before the first round, after a violation, or when
+    /// infeasible.
+    fn candidates(&self) -> Option<(i64, i64)> {
+        self.prev_range
+    }
+}
+
+/// A guarded counting session: rounds arrive one at a time from any
+/// transport (an in-memory execution through [`Guarded::replay`], a
+/// `RoundSource` over real sockets in `anonet-core`), pass the
+/// leader's screens, and end in a [`Verdict`].
+///
+/// The session owns everything the leaders share: the absolute round
+/// counter, leader restarts from the [`FaultPlan`], the decide-once
+/// rule, silent post-decision confirmation, the trace events (with the
+/// plan's `fault` facet) and the final `violation` event. The leader
+/// decides *provisionally* and is confirmed through the horizon: a
+/// fault striking exactly the decision round can leave the observations
+/// coincidentally consistent, and the inconsistency then shows within a
+/// round or two, when the pretend histories fail to extend.
+///
+/// Feed each observed round to [`step`](Guarded::step); a
+/// `Some(verdict)` return is terminal (a screen fired and the violation
+/// event was already emitted and flushed). When the stream ends, close
+/// with [`finish`](Guarded::finish); when the transport fails, close
+/// with [`interrupt`](Guarded::interrupt).
+///
+/// Trace emission stops at the decision round, so on an empty plan the
+/// events are byte-identical to the plain algorithm's.
+#[derive(Debug, Default)]
+pub struct Guarded<L> {
+    leader: L,
+    decided: Option<(u64, u32)>,
+    round: u32,
+}
+
+impl<L: GuardedLeader + Default> Guarded<L> {
+    /// A fresh session: the leader before its first round.
+    pub fn new() -> Guarded<L> {
+        Guarded::default()
+    }
+}
+
+impl<L: GuardedLeader> Guarded<L> {
+    /// Ingests the next observed round. Returns `Some(verdict)` when a
+    /// screen fires (terminal: the violation event has been emitted
+    /// and flushed) and `None` to continue.
+    pub fn step<S: TraceSink>(
+        &mut self,
+        arena: &HistoryArena,
+        deliveries: &RoundColumns,
+        plan: &FaultPlan,
+        sink: &mut S,
+    ) -> Option<Verdict> {
+        let round = self.round;
+        self.round += 1;
+        if plan.has_restart_at(round) {
+            self.leader.restart();
+        }
+        let fault = |event: RoundEvent| match plan.labels_at(round) {
+            Some(f) => event.fault(&f),
+            None => event,
         };
-        match screened {
-            Err(v) => {
-                return Verdict::ModelViolation {
-                    kind: v.kind,
-                    round: v.round,
-                }
+        let violation = if self.decided.is_some() {
+            match self.leader.confirm(arena, deliveries, round) {
+                Ok(()) => return None,
+                Err(v) => v,
             }
-            Ok(wr) => {
-                if decided.is_none() {
-                    if let Some(count) = wr.and_then(|wr| wr.decision) {
-                        decided = Some((count, r as u32 + 1));
+        } else {
+            match self.leader.screen(arena, deliveries, round) {
+                Err(v) => v,
+                Ok((event, decision)) => {
+                    sink.record(&fault(event));
+                    match decision {
+                        None => return None,
+                        // Every leader rejects an empty round, so a zero
+                        // count contradicts the round that decided it.
+                        Some(0) => Violation {
+                            kind: ViolationKind::CensusConservation,
+                            round,
+                        },
+                        Some(count) => {
+                            self.decided = Some((count, round + 1));
+                            return None;
+                        }
                     }
                 }
             }
+        };
+        sink.record(&fault(RoundEvent::new(round).violation(violation.kind.label())));
+        sink.flush();
+        Some(Verdict::ModelViolation {
+            kind: violation.kind,
+            round: violation.round,
+        })
+    }
+
+    /// Closes the stream after `max_rounds` were available: the
+    /// confirmed decision or a decision-less horizon.
+    pub fn finish<S: TraceSink>(self, max_rounds: u32, sink: &mut S) -> Verdict {
+        sink.flush();
+        match self.decided {
+            Some((count, rounds)) => Verdict::Correct { count, rounds },
+            None => Verdict::Undecided {
+                rounds: max_rounds,
+                candidates: self.leader.candidates(),
+            },
         }
     }
-    match decided {
-        Some((count, rounds)) => Verdict::Correct { count, rounds },
-        None => Verdict::Undecided {
-            rounds: max_rounds,
-            candidates: leader.candidates(),
-        },
+
+    /// Closes the stream **early** (the transport failed: timeout,
+    /// closed connection): always [`Verdict::Undecided`], never an
+    /// unconfirmed count. Fail-closed even when a provisional decision
+    /// exists, because the remaining confirmation rounds never arrived.
+    pub fn interrupt<S: TraceSink>(self, sink: &mut S) -> Verdict {
+        sink.flush();
+        Verdict::Undecided {
+            rounds: self.round,
+            candidates: self.leader.candidates(),
+        }
     }
+
+    /// Steps the session through every round of `execution`, then
+    /// closes it after `max_rounds`.
+    pub fn replay<S: TraceSink>(
+        mut self,
+        execution: &Execution,
+        max_rounds: u32,
+        plan: &FaultPlan,
+        sink: &mut S,
+    ) -> Verdict {
+        for deliveries in &execution.rounds {
+            if let Some(v) = self.step(&execution.arena, deliveries, plan, sink) {
+                return v;
+            }
+        }
+        self.finish(max_rounds, sink)
+    }
+}
+
+/// Runs the fault-injected protocol end to end and reduces it to a
+/// [`Verdict`]: simulate `max_rounds` rounds of `m` under `plan` and
+/// replay them through a [`Guarded`] session over a [`WatchedLeader`],
+/// untraced.
+///
+/// On in-model executions the post-decision confirmation never fires
+/// and the verdict is `Correct` with the same count and decision round
+/// as the plain algorithms.
+pub fn watched_verdict(m: &DblMultigraph, max_rounds: u32, plan: &FaultPlan) -> Verdict {
+    let faulted = simulate_with_faults(m, max_rounds as usize, plan);
+    Guarded::<WatchedLeader>::new().replay(&faulted.execution, max_rounds, plan, &mut NullSink)
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ pub use corpus::{read_archive, write_archive, ArchiveRead, ArchivedSchedule, Cor
 pub use history::{
     checked_ternary_count, ternary_count, History, HistoryArena, HistoryId, ParseHistoryError,
 };
-pub use history_tree::{HistoryTreeError, HistoryTreeLeader};
+pub use history_tree::{HistoryTreeError, HistoryTreeLeader, WatchedHistoryTree};
 pub use label::{LabelError, LabelSet, MAX_LABELS};
 pub use leader::{LeaderState, ObservationError, Observations, ObservationStream};
 pub use multigraph::{DblError, DblMultigraph};

@@ -13,6 +13,9 @@ fast=0
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+echo "==> sessbench (its own Cargo workspace, built against the session API)"
+cargo test --release --offline --manifest-path sessbench/Cargo.toml --quiet
+
 echo "==> cargo doc --no-deps (missing_docs must be clean)"
 doc_log=$(cargo doc --no-deps 2>&1) || { echo "$doc_log"; exit 1; }
 if grep -q "warning" <<<"$doc_log"; then

@@ -13,11 +13,13 @@
 
 use anonet_core::algorithms::{CountingError, HistoryTreeCounting, KernelCounting};
 use anonet_core::bounds;
-use anonet_core::verdict::{schedule_verdict, SearchAlgorithm, Verdict};
-use anonet_multigraph::adversary::RandomDblAdversary;
+use anonet_core::verdict::{
+    history_tree_verdict, schedule_verdict, FaultPlan, SearchAlgorithm, Verdict, ViolationKind,
+};
+use anonet_multigraph::adversary::{RandomDblAdversary, TwinBuilder};
 use anonet_multigraph::corpus::ArchivedSchedule;
 use anonet_multigraph::DblMultigraph;
-use anonet_netsim::trace::MemorySink;
+use anonet_netsim::trace::{MemorySink, NullSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -168,21 +170,69 @@ fn fifty_seed_random_grid_agreement() {
     );
 }
 
-/// Tracing is an observer: `run_traced` returns the same outcome as
-/// `run`, and the emitted event stream is byte-identical between 1 and
+/// The guarded history-tree runner on *clean* worst-case twins: never a
+/// wrong count, the exact count at `horizon + 2` wherever the spine
+/// dies, and a false alarm everywhere else.
+///
+/// The false alarm is a known limit of the raw-interval nesting
+/// screen, pinned here so that it cannot change unnoticed. The raw
+/// per-round candidate intervals do *not* nest in-model: on the clean
+/// n=13 twin they go (13, 14) then (12, 13). On every twin whose spine
+/// never dies the screen therefore fires `census-conservation` at
+/// `horizon + 1`, where the unguarded leader stays undecided. A
+/// feasibility screen that replaces the nesting screen should flip
+/// these cases to `Undecided` (or better); until then they are pinned.
+#[test]
+fn guarded_history_tree_on_clean_twins_states_its_false_alarm() {
+    let mut alarms = 0usize;
+    let mut decided = 0usize;
+    for n in [13u64, 40, 121, 364, 1093] {
+        let pair = TwinBuilder::new().build(n).unwrap();
+        let horizon = pair.horizon + 4;
+        for (m, truth) in [(&pair.smaller, n), (&pair.larger, n + 1)] {
+            let guarded = history_tree_verdict(m, horizon, &FaultPlan::new(), true);
+            let unguarded = history_tree_verdict(m, horizon, &FaultPlan::new(), false);
+            match guarded {
+                Verdict::Correct { count, rounds } => {
+                    assert_eq!(count, truth, "n={truth}: guarded wrong count");
+                    assert_eq!(rounds, pair.horizon + 2, "n={truth}: spine-death round");
+                    assert_eq!(guarded, unguarded, "n={truth}: the screens changed a clean count");
+                    decided += 1;
+                }
+                // Known limit: the spine never dies, and the nesting
+                // screen mistakes the clean execution for a fault.
+                Verdict::ModelViolation { kind, round } => {
+                    assert_eq!(kind, ViolationKind::CensusConservation, "n={truth}");
+                    assert_eq!(round, pair.horizon + 1, "n={truth}: false-alarm round");
+                    assert!(
+                        matches!(unguarded, Verdict::Undecided { .. }),
+                        "n={truth}: a false alarm only where the spine never dies, got {unguarded}"
+                    );
+                    alarms += 1;
+                }
+                Verdict::Undecided { .. } => panic!("n={truth}: clean twin undecided: {guarded}"),
+            }
+        }
+    }
+    // Exactly one side of each twin pair keeps its spine alive.
+    assert_eq!((decided, alarms), (5, 5));
+}
+
+/// Tracing is an observer: `run_with_sink` returns the same outcome
+/// as `run`, and the emitted event stream is byte-identical between 1 and
 /// 4 simulation threads.
 #[test]
 fn tracing_and_threads_never_perturb_the_history_tree() {
     for seed in [3u64, 17, 29] {
         let (_, budget, m) = random_instance(seed);
         let plain = HistoryTreeCounting::new().run(&m, budget);
-        let traced = HistoryTreeCounting::new().run_traced(&m, budget);
+        let traced = HistoryTreeCounting::new().run_with_sink(&m, budget, &mut NullSink);
         match (&plain, &traced) {
             (Ok(a), Ok((b, _))) => assert_eq!(a, b, "seed {seed}: traced outcome diverged"),
             (Err(a), Err(b)) => {
                 assert_eq!(format!("{a}"), format!("{b}"), "seed {seed}: errors diverged")
             }
-            _ => panic!("seed {seed}: run and run_traced disagree on success"),
+            _ => panic!("seed {seed}: run and run_with_sink disagree on success"),
         }
         let mut events = Vec::new();
         for threads in [1usize, 4] {
