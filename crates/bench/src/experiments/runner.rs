@@ -4,9 +4,10 @@
 //! seeds and sizes, so cells of a grid — one cell per `(seed, n, family)`
 //! combination, or one per whole experiment — can run on any thread in
 //! any order and still produce the *same values* as a serial sweep. The
-//! runner exploits that: a scoped worker pool claims cells from a shared
-//! counter, writes each result into the slot of its cell index, and
-//! returns the slots in input order. Output is therefore byte-for-byte
+//! runner exploits that through
+//! [`claim_chunks`](anonet_trace::par::claim_chunks): a scoped worker
+//! pool claims cells from a shared counter, writes each result into the
+//! slot of its cell index, and returns the slots in input order. Output is therefore byte-for-byte
 //! identical to the serial run, regardless of thread count or
 //! scheduling; only the wall-clock timings differ.
 //!
@@ -35,9 +36,9 @@
 
 use super::checkpoint;
 use anonet_core::experiment::Table;
+use anonet_trace::par::claim_chunks;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -89,7 +90,7 @@ pub struct CellTiming {
 /// Runs `f` over every item of `items` on `threads` workers and returns
 /// the results *in input order* together with per-item wall-clock times.
 ///
-/// Items are claimed from a shared counter, so workers stay busy even
+/// Items are claimed through [`claim_chunks`], so workers stay busy even
 /// when cell costs are skewed; each result lands in the slot of its item
 /// index, which makes the output independent of scheduling. With
 /// `threads <= 1` the items run serially on the calling thread — the
@@ -107,41 +108,22 @@ pub struct CellTiming {
 ///
 /// # Panics
 ///
-/// Panics if any worker panics (the panic is propagated).
+/// Panics if `f` panics on any item (the panic is propagated).
 pub fn run_grid<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<(T, u64)>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let run_one = |item: &I| {
+    let mut slots: Vec<Option<(T, u64)>> = items.iter().map(|_| None).collect();
+    claim_chunks(&mut slots, threads, |i, slot| {
         let start = Instant::now();
-        let value = f(item);
-        (value, start.elapsed().as_micros() as u64)
-    };
-
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(run_one).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(T, u64)>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(items.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().expect("slot lock") = Some(run_one(item));
-            });
-        }
+        let value = f(&items[i]);
+        *slot = Some((value, start.elapsed().as_micros() as u64));
     });
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("every slot filled")
-        })
+        .map(|slot| slot.expect("every slot filled"))
         .collect()
 }
 

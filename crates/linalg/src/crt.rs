@@ -20,12 +20,11 @@
 //! [`MontPrime::accumulate4`] / [`MontPrime::fold_sub`] of
 //! [`montops`](crate::montops): one widening multiply and one 128-bit add
 //! per matrix element with a single REDC per output column, plus a batched
-//! append that reduces blocks of rows against a snapshot in parallel (the
-//! PR 6 chunk-claim pattern) with byte-identical results at any thread
+//! append that reduces blocks of rows against a snapshot in parallel
+//! (through [`claim_chunks`]) with byte-identical results at any thread
 //! count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use anonet_trace::par::claim_chunks;
 
 use crate::error::{LinalgError, Result};
 use crate::modp::P;
@@ -293,8 +292,8 @@ impl PrimeEchelon {
     /// state in parallel and committing sequentially.
     ///
     /// Every row is first reduced against a snapshot of the tracker (the
-    /// parallel phase: work is claimed in fixed [`CHUNK_ROWS`] chunks, PR
-    /// 6 style, so the set of per-row results is independent of the thread
+    /// parallel phase: [`claim_chunks`] hands out fixed [`CHUNK_ROWS`]
+    /// chunks, so the set of per-row results is independent of the thread
     /// count), then re-reduced against the rows committed before it in the
     /// batch (the sequential phase; snapshot pivots reduce to zero factors
     /// and cost nothing). Stored echelon rows are zero strictly left of
@@ -311,52 +310,20 @@ impl PrimeEchelon {
                 return Err(self.width_error(row.len()));
             }
         }
-        let chunks = rows.len().div_ceil(CHUNK_ROWS);
-        let workers = threads.max(1).min(chunks.max(1));
-        let reduced: Vec<Vec<u64>> = if workers <= 1 {
+        let mut reduced: Vec<Vec<Vec<u64>>> = vec![Vec::new(); rows.len().div_ceil(CHUNK_ROWS)];
+        claim_chunks(&mut reduced, threads, |i, out| {
             let (mut fac, mut acc) = (Vec::new(), Vec::new());
-            rows.iter()
-                .map(|row| {
-                    let mut v: Vec<u64> = row.iter().map(|&x| self.m.from_i64(x)).collect();
-                    self.reduce_fused(&mut v, &mut fac, &mut acc);
-                    v
-                })
-                .collect()
-        } else {
-            let snapshot: &PrimeEchelon = self;
-            let slots: Vec<Mutex<Vec<Vec<u64>>>> =
-                (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= chunks {
-                            break;
-                        }
-                        let lo = i * CHUNK_ROWS;
-                        let hi = (lo + CHUNK_ROWS).min(rows.len());
-                        let mut out = Vec::with_capacity(hi - lo);
-                        let (mut fac, mut acc) = (Vec::new(), Vec::new());
-                        for row in &rows[lo..hi] {
-                            let mut v: Vec<u64> =
-                                row.iter().map(|&x| snapshot.m.from_i64(x)).collect();
-                            snapshot.reduce_fused(&mut v, &mut fac, &mut acc);
-                            out.push(v);
-                        }
-                        *slots[i].lock().expect("batch slot poisoned") = out;
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .flat_map(|s| s.into_inner().expect("batch slot poisoned"))
-                .collect()
-        };
+            let lo = i * CHUNK_ROWS;
+            for row in &rows[lo..(lo + CHUNK_ROWS).min(rows.len())] {
+                let mut v: Vec<u64> = row.iter().map(|&x| self.m.from_i64(x)).collect();
+                self.reduce_fused(&mut v, &mut fac, &mut acc);
+                out.push(v);
+            }
+        });
         self.appended += rows.len();
         let mut added = 0;
         let (mut fac, mut acc) = (Vec::new(), Vec::new());
-        for mut v in reduced {
+        for mut v in reduced.into_iter().flatten() {
             self.reduce_fused(&mut v, &mut fac, &mut acc);
             if self.commit(v)? {
                 added += 1;

@@ -35,23 +35,25 @@
 //!
 //! # Determinism
 //!
-//! Node-parallel phases use the same deterministic work-splitting scheme
-//! as the grid runner in `anonet-bench` (`docs/RUNNER.md`): the node range
-//! is split into fixed contiguous chunks, workers claim chunks from an
-//! atomic counter, and per-chunk results land in per-chunk slots that are
-//! merged in chunk order. Histogram merging is integer addition and the
-//! state remap is elementwise, so the engine's output — including raw
-//! arena handle values — is byte-identical at every thread count. The
-//! serial path runs the identical arithmetic; `threads(1)` and
-//! `threads(t)` agree bit for bit (property-tested, and re-asserted on
-//! the `exp_scale` grid by `scripts/check.sh`).
+//! Node-parallel phases run through
+//! [`claim_chunks`](anonet_trace::par::claim_chunks), the work-splitting
+//! primitive shared with the grid runner in `anonet-bench`
+//! (`docs/RUNNER.md`): the node range is split into fixed contiguous
+//! chunks, workers claim chunks from an atomic counter, and per-chunk
+//! results land in per-chunk slots that are merged in chunk order.
+//! Histogram merging is integer addition and the state remap is
+//! elementwise, so the engine's output — including raw arena handle
+//! values — is byte-identical at every thread count. The histogram's
+//! serial scan (taken with one worker, or when merging would cost more
+//! than the scan) runs the identical arithmetic; `threads(1)` and `threads(t)` agree bit for
+//! bit (property-tested, and re-asserted on the `exp_scale` grid by
+//! `scripts/check.sh`).
 
 use crate::history::{HistoryArena, HistoryId};
 use crate::label::LabelSet;
 use crate::multigraph::DblMultigraph;
 use crate::simulate::Delivery;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use anonet_trace::par::claim_chunks;
 
 /// Largest `k` for which the engine uses the dense `(rank, label-set)`
 /// histogram (`2^k - 1 ≤ 63` columns per rank). Larger `k` falls back to
@@ -76,9 +78,6 @@ fn pair_slot(rank: u32, nsets: usize, mask: u32) -> usize {
     );
     rank as usize * nsets + mask - 1
 }
-
-/// Node count below which parallel phases are not worth spawning for.
-const PAR_MIN_NODES: usize = 4096;
 
 /// Nodes per parallel work chunk (the fixed work-splitting grain; see
 /// the module docs on determinism).
@@ -501,53 +500,23 @@ impl RoundEngine {
             }
         }
         // Remap every live node — elementwise, so chunk-parallel.
-        let n = self.nodes();
-        let threads = self.threads.min(n.div_ceil(CHUNK_NODES)).max(1);
-        if threads <= 1 || n < PAR_MIN_NODES {
-            for node in 0..n {
+        let mut chunks: Vec<(&mut [HistoryId], &mut [u32])> = self
+            .states
+            .chunks_mut(CHUNK_NODES)
+            .zip(self.node_rank.chunks_mut(CHUNK_NODES))
+            .collect();
+        claim_chunks(&mut chunks, self.threads, |i, (states, ranks)| {
+            let base = i * CHUNK_NODES;
+            for (off, (state, rank)) in states.iter_mut().zip(ranks.iter_mut()).enumerate() {
+                let node = base + off;
                 if !self.alive[node] {
                     continue;
                 }
-                let idx = pair_slot(self.node_rank[node], nsets, m.label_set(r, node).mask());
-                self.states[node] = self.child_ids[idx];
-                self.node_rank[node] = self.rank_of[idx];
+                let idx = pair_slot(*rank, nsets, m.label_set(r, node).mask());
+                *state = self.child_ids[idx];
+                *rank = self.rank_of[idx];
             }
-        } else {
-            let child_ids = &self.child_ids;
-            let rank_of = &self.rank_of;
-            let alive = &self.alive;
-            /// One remap work chunk: its base node index plus the
-            /// chunk's slices of the state and rank columns.
-            type RemapSlot<'a> = Mutex<(usize, &'a mut [HistoryId], &'a mut [u32])>;
-            let slots: Vec<RemapSlot> = self
-                .states
-                .chunks_mut(CHUNK_NODES)
-                .zip(self.node_rank.chunks_mut(CHUNK_NODES))
-                .enumerate()
-                .map(|(i, (st, nr))| Mutex::new((i * CHUNK_NODES, st, nr)))
-                .collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("chunk slot never poisoned");
-                        let (base, states, ranks) = &mut *guard;
-                        for off in 0..states.len() {
-                            let node = *base + off;
-                            if !alive[node] {
-                                continue;
-                            }
-                            let idx =
-                                pair_slot(ranks[off], nsets, m.label_set(r, node).mask());
-                            states[off] = child_ids[idx];
-                            ranks[off] = rank_of[idx];
-                        }
-                    });
-                }
-            });
-        }
+        });
         std::mem::swap(&mut self.ids_by_rank, &mut self.next_ids);
         self.hist_round = None;
     }
@@ -572,7 +541,7 @@ impl RoundEngine {
         // executions at scale) that swamps the `O(n)` scan — fall back
         // to the serial scan, which is bit-identical anyway.
         let merge_dominates = width.saturating_mul(chunks) > n;
-        if threads <= 1 || n < PAR_MIN_NODES || merge_dominates {
+        if threads <= 1 || merge_dominates {
             for node in 0..n {
                 if !self.alive[node] {
                     continue;
@@ -582,35 +551,15 @@ impl RoundEngine {
             }
         } else {
             self.chunk_counts.resize_with(chunks, Vec::new);
-            let alive = &self.alive;
-            let node_rank = &self.node_rank;
-            let slots: Vec<Mutex<(usize, &mut Vec<u64>)>> = self
-                .chunk_counts
-                .iter_mut()
-                .enumerate()
-                .map(|(i, buf)| Mutex::new((i, buf)))
-                .collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("chunk slot never poisoned");
-                        let (chunk, buf) = &mut *guard;
-                        buf.clear();
-                        buf.resize(width, 0);
-                        let lo = *chunk * CHUNK_NODES;
-                        let hi = (lo + CHUNK_NODES).min(n);
-                        for node in lo..hi {
-                            if !alive[node] {
-                                continue;
-                            }
-                            let idx =
-                                pair_slot(node_rank[node], nsets, m.label_set(r, node).mask());
-                            buf[idx] += 1;
-                        }
-                    });
+            claim_chunks(&mut self.chunk_counts[..chunks], threads, |chunk, buf| {
+                buf.clear();
+                buf.resize(width, 0);
+                let lo = chunk * CHUNK_NODES;
+                for node in lo..(lo + CHUNK_NODES).min(n) {
+                    if !self.alive[node] {
+                        continue;
+                    }
+                    buf[pair_slot(self.node_rank[node], nsets, m.label_set(r, node).mask())] += 1;
                 }
             });
             // Merge in chunk order (addition — chunking-invariant).

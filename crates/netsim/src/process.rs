@@ -53,7 +53,8 @@ pub struct RecvContext<'a, M> {
     ///
     /// The slice order is an artifact of the simulator, not information:
     /// anonymous algorithms must treat the inbox as a multiset. (The
-    /// simulator can shuffle inboxes to enforce this; see
+    /// simulator can shuffle every inbox with its own
+    /// `(seed, round, node)` RNG to enforce this; see
     /// [`Simulator::shuffle_inboxes`](crate::Simulator::shuffle_inboxes).)
     pub inbox: &'a [M],
 }

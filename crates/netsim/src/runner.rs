@@ -7,21 +7,20 @@
 
 use crate::process::{Process, RecvContext, SendContext};
 use anonet_graph::DynamicNetwork;
+use anonet_trace::par::claim_chunks;
 use anonet_trace::{NullSink, RoundEvent, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Nodes per work chunk of the threaded receive phase (the fixed
-/// work-splitting grain — see `docs/SCALING.md`).
+/// Nodes per work chunk of the receive phase (the fixed work-splitting
+/// grain — see `docs/SCALING.md`).
 const CHUNK_NODES: usize = 8192;
 
-/// A per-`(seed, round, node)` RNG for inbox shuffling on the threaded
-/// path: a splitmix64-style mix, so the shuffle of one inbox never
-/// depends on which worker handled which node (byte-identical at every
-/// thread count).
+/// A per-`(seed, round, node)` RNG for inbox shuffling: a
+/// splitmix64-style mix, so the shuffle of one inbox depends neither on
+/// which worker handled which node nor on how the rounds were split
+/// across `run` calls.
 fn node_rng(seed: u64, round: u32, node: usize) -> StdRng {
     let mut z = seed
         ^ (u64::from(round) << 32)
@@ -31,7 +30,7 @@ fn node_rng(seed: u64, round: u32, node: usize) -> StdRng {
     StdRng::seed_from_u64(z ^ (z >> 31))
 }
 
-/// Per-round execution statistics collected by [`Simulator::run_traced`].
+/// Per-round execution statistics returned by [`Simulator::run_with_sink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStats {
     /// The absolute round index.
@@ -108,10 +107,9 @@ impl<N: DynamicNetwork> Simulator<N> {
         }
     }
 
-    /// Sets the worker count for [`Simulator::run_threaded`] and friends
-    /// (0 acts as 1). The threaded runner's output is byte-identical at
-    /// every thread count; the plain [`Simulator::run`] entry points
-    /// stay serial regardless of this setting.
+    /// Sets the worker count of the receive phase (0 acts as 1; the
+    /// default is 1). Every report, statistic, trace event and process
+    /// state is byte-identical at every thread count.
     pub fn with_threads(mut self, threads: usize) -> Simulator<N> {
         self.threads = threads.max(1);
         self
@@ -126,7 +124,9 @@ impl<N: DynamicNetwork> Simulator<N> {
 
     /// Shuffles every inbox with a deterministic RNG before delivery,
     /// enforcing that protocols cannot extract information from message
-    /// order (anonymity hygiene).
+    /// order (anonymity hygiene). Each inbox gets its own RNG derived from
+    /// `(seed, round, node)`, so the shuffle is the same at every thread
+    /// count and however the rounds are split across `run` calls.
     pub fn shuffle_inboxes(mut self, seed: u64) -> Simulator<N> {
         self.shuffle_seed = Some(seed);
         self
@@ -151,25 +151,16 @@ impl<N: DynamicNetwork> Simulator<N> {
     /// # Panics
     ///
     /// Panics if `procs.len()` differs from the network's order.
-    pub fn run<P: Process>(&mut self, procs: &mut [P], max_rounds: u32) -> RunReport {
-        self.run_traced(procs, max_rounds).0
+    pub fn run<P>(&mut self, procs: &mut [P], max_rounds: u32) -> RunReport
+    where
+        P: Process + Send,
+        P::Msg: Send + Sync,
+    {
+        self.run_with_sink(procs, max_rounds, &mut NullSink).0
     }
 
-    /// Like [`Simulator::run`], additionally recording per-round
-    /// statistics (delivery counts, inbox sizes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_traced<P: Process>(
-        &mut self,
-        procs: &mut [P],
-        max_rounds: u32,
-    ) -> (RunReport, Vec<RoundStats>) {
-        self.run_with_sink(procs, max_rounds, &mut NullSink)
-    }
-
-    /// Like [`Simulator::run_traced`], additionally emitting one
+    /// Like [`Simulator::run`], additionally returning per-round
+    /// statistics (delivery counts, inbox sizes) and emitting one
     /// [`RoundEvent`] per executed round to `sink` (with the absolute
     /// round index, the delivery count, the maximum inbox size, the
     /// leader's inbox size, and the round's live `connections` — the
@@ -178,6 +169,12 @@ impl<N: DynamicNetwork> Simulator<N> {
     /// is flushed before returning, so a
     /// [`JsonlSink`](anonet_trace::JsonlSink) stream is complete when
     /// this call returns.
+    ///
+    /// The send phase is serial (one cheap call per node). The receive
+    /// phase is split into fixed chunks of `CHUNK_NODES` (8192)
+    /// processes, run through [`claim_chunks`] on the
+    /// [`Simulator::with_threads`] workers; per-chunk delivery counts and
+    /// inbox maxima merge in chunk order.
     ///
     /// # Examples
     ///
@@ -203,167 +200,7 @@ impl<N: DynamicNetwork> Simulator<N> {
     /// # Panics
     ///
     /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_with_sink<P: Process, S: TraceSink>(
-        &mut self,
-        procs: &mut [P],
-        max_rounds: u32,
-        sink: &mut S,
-    ) -> (RunReport, Vec<RoundStats>) {
-        let n = self.net.order();
-        assert_eq!(
-            procs.len(),
-            n,
-            "need exactly one process per node ({} != {n})",
-            procs.len()
-        );
-        let mut rng = self
-            .shuffle_seed
-            .map(|s| StdRng::seed_from_u64(s.wrapping_add(self.next_round as u64)));
-        let mut deliveries = 0u64;
-
-        let mut stats = Vec::new();
-
-        if let Some(out) = procs[0].output() {
-            sink.flush();
-            return (
-                RunReport {
-                    rounds: 0,
-                    leader_output: Some((out, self.next_round)),
-                    deliveries,
-                },
-                stats,
-            );
-        }
-
-        let first = self.next_round;
-        // Send/inbox buffers are reused across rounds and nodes — the
-        // round loop allocates only when a round outgrows every earlier
-        // one.
-        let mut msgs: Vec<P::Msg> = Vec::new();
-        let mut inbox: Vec<P::Msg> = Vec::new();
-        for round in first..first.saturating_add(max_rounds) {
-            self.next_round = round + 1;
-            let graph = self.net.graph(round);
-            debug_assert_eq!(graph.order(), n, "adversary changed the node set");
-
-            // Send phase: every process broadcasts one message.
-            msgs.clear();
-            msgs.extend(procs.iter_mut().enumerate().map(|(v, p)| {
-                let ctx = SendContext {
-                    round,
-                    degree: self.degree_oracle.then(|| graph.degree(v) as u32),
-                };
-                p.send(&ctx)
-            }));
-
-            // Receive phase: deliver neighbours' messages.
-            let mut round_deliveries = 0u64;
-            let mut max_inbox = 0usize;
-            for (v, p) in procs.iter_mut().enumerate() {
-                inbox.clear();
-                inbox.extend(graph.neighbors(v).iter().map(|&u| msgs[u].clone()));
-                if let Some(rng) = rng.as_mut() {
-                    inbox.shuffle(rng);
-                }
-                deliveries += inbox.len() as u64;
-                round_deliveries += inbox.len() as u64;
-                max_inbox = max_inbox.max(inbox.len());
-                p.receive(RecvContext {
-                    round,
-                    inbox: &inbox,
-                });
-            }
-            stats.push(RoundStats {
-                round,
-                deliveries: round_deliveries,
-                max_inbox,
-                leader_inbox: graph.degree(0),
-            });
-            sink.record(
-                &RoundEvent::new(round)
-                    .deliveries(round_deliveries)
-                    .max_inbox(max_inbox as u64)
-                    .leader_inbox(graph.degree(0) as u64)
-                    .connections(graph.size() as u64),
-            );
-
-            if let Some(out) = procs[0].output() {
-                sink.flush();
-                return (
-                    RunReport {
-                        rounds: round + 1 - first,
-                        leader_output: Some((out, round)),
-                        deliveries,
-                    },
-                    stats,
-                );
-            }
-        }
-
-        sink.flush();
-        (
-            RunReport {
-                rounds: max_rounds,
-                leader_output: None,
-                deliveries,
-            },
-            stats,
-        )
-    }
-
-    /// [`Simulator::run`] on the node-parallel receive path, using the
-    /// worker count set by [`Simulator::with_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_threaded<P>(&mut self, procs: &mut [P], max_rounds: u32) -> RunReport
-    where
-        P: Process + Send,
-        P::Msg: Send + Sync,
-    {
-        self.run_with_sink_threaded(procs, max_rounds, &mut NullSink).0
-    }
-
-    /// [`Simulator::run_traced`] on the node-parallel receive path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_traced_threaded<P>(
-        &mut self,
-        procs: &mut [P],
-        max_rounds: u32,
-    ) -> (RunReport, Vec<RoundStats>)
-    where
-        P: Process + Send,
-        P::Msg: Send + Sync,
-    {
-        self.run_with_sink_threaded(procs, max_rounds, &mut NullSink)
-    }
-
-    /// [`Simulator::run_with_sink`] on the node-parallel receive path.
-    ///
-    /// The node range is split into fixed contiguous chunks; workers
-    /// claim chunks from an atomic counter and per-chunk statistics are
-    /// merged in chunk order — the same deterministic work-splitting
-    /// scheme as the experiment grid runner (`docs/RUNNER.md`), so the
-    /// report, the stats, every trace event and every process state are
-    /// **byte-identical at every thread count**.
-    ///
-    /// One deliberate divergence from the serial path: with
-    /// [`Simulator::shuffle_inboxes`] enabled, each inbox is shuffled by
-    /// an RNG derived from `(seed, round, node)` instead of one
-    /// sequential RNG walked in node order (which would make node `v`'s
-    /// shuffle depend on all earlier inbox sizes — unparallelizable).
-    /// Shuffled runs are therefore deterministic per seed on each path
-    /// but differ *between* the serial and threaded paths; unshuffled
-    /// runs agree everywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs.len()` differs from the network's order.
-    pub fn run_with_sink_threaded<P, S>(
+    pub fn run_with_sink<P, S>(
         &mut self,
         procs: &mut [P],
         max_rounds: u32,
@@ -396,14 +233,29 @@ impl<N: DynamicNetwork> Simulator<N> {
             );
         }
 
+        /// One receive-phase work chunk: its processes, its inbox buffer,
+        /// and the chunk's delivery count and largest inbox.
+        struct ChunkSlot<'a, P: Process> {
+            procs: &'a mut [P],
+            inbox: &'a mut Vec<P::Msg>,
+            deliveries: u64,
+            max_inbox: usize,
+        }
+
         let first = self.next_round;
+        // The send buffer and each chunk's inbox are reused across rounds
+        // and nodes — the round loop allocates only when a round
+        // outgrows every earlier one (a fresh inbox per round doubled
+        // the time of a degree-oracle run on a 3280-node `G(PD)_2`).
         let mut msgs: Vec<P::Msg> = Vec::new();
+        let mut inboxes: Vec<Vec<P::Msg>> =
+            (0..n.div_ceil(CHUNK_NODES)).map(|_| Vec::new()).collect();
         for round in first..first.saturating_add(max_rounds) {
             self.next_round = round + 1;
             let graph = self.net.graph(round);
             debug_assert_eq!(graph.order(), n, "adversary changed the node set");
 
-            // Send phase (serial: one cheap call per node).
+            // Send phase: every process broadcasts one message.
             msgs.clear();
             msgs.extend(procs.iter_mut().enumerate().map(|(v, p)| {
                 let ctx = SendContext {
@@ -413,73 +265,33 @@ impl<N: DynamicNetwork> Simulator<N> {
                 p.send(&ctx)
             }));
 
-            // Receive phase: chunks of nodes claimed from an atomic
-            // counter; per-chunk (deliveries, max_inbox) land in the
-            // chunk's slot and merge in chunk order below.
-            struct ChunkSlot<'a, P> {
-                base: usize,
-                procs: &'a mut [P],
-                deliveries: u64,
-                max_inbox: usize,
-            }
-            let slots: Vec<Mutex<ChunkSlot<'_, P>>> = procs
+            // Receive phase: deliver neighbours' messages, chunk by chunk.
+            let mut slots: Vec<ChunkSlot<'_, P>> = procs
                 .chunks_mut(CHUNK_NODES)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    Mutex::new(ChunkSlot {
-                        base: i * CHUNK_NODES,
-                        procs: chunk,
-                        deliveries: 0,
-                        max_inbox: 0,
-                    })
+                .zip(&mut inboxes)
+                .map(|(procs, inbox)| ChunkSlot {
+                    procs,
+                    inbox,
+                    deliveries: 0,
+                    max_inbox: 0,
                 })
                 .collect();
-            let workers = self.threads.min(slots.len()).max(1);
-            let next = AtomicUsize::new(0);
-            let shuffle_seed = self.shuffle_seed;
-            let graph_ref = &graph;
-            let msgs_ref = &msgs;
-            std::thread::scope(|scope| {
-                let work = || {
-                    let mut inbox: Vec<P::Msg> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("chunk slot never poisoned");
-                        let slot = &mut *guard;
-                        for (off, p) in slot.procs.iter_mut().enumerate() {
-                            let v = slot.base + off;
-                            inbox.clear();
-                            inbox.extend(
-                                graph_ref.neighbors(v).iter().map(|&u| msgs_ref[u].clone()),
-                            );
-                            if let Some(seed) = shuffle_seed {
-                                inbox.shuffle(&mut node_rng(seed, round, v));
-                            }
-                            slot.deliveries += inbox.len() as u64;
-                            slot.max_inbox = slot.max_inbox.max(inbox.len());
-                            p.receive(RecvContext {
-                                round,
-                                inbox: &inbox,
-                            });
-                        }
+            claim_chunks(&mut slots, self.threads, |i, slot| {
+                let inbox = &mut *slot.inbox;
+                for (off, p) in slot.procs.iter_mut().enumerate() {
+                    let v = i * CHUNK_NODES + off;
+                    inbox.clear();
+                    inbox.extend(graph.neighbors(v).iter().map(|&u| msgs[u].clone()));
+                    if let Some(seed) = self.shuffle_seed {
+                        inbox.shuffle(&mut node_rng(seed, round, v));
                     }
-                };
-                if workers <= 1 {
-                    work();
-                } else {
-                    for _ in 0..workers {
-                        scope.spawn(work);
-                    }
+                    slot.deliveries += inbox.len() as u64;
+                    slot.max_inbox = slot.max_inbox.max(inbox.len());
+                    p.receive(RecvContext { round, inbox });
                 }
             });
-            let mut round_deliveries = 0u64;
-            let mut max_inbox = 0usize;
-            for slot in &slots {
-                let slot = slot.lock().expect("chunk slot never poisoned");
-                round_deliveries += slot.deliveries;
-                max_inbox = max_inbox.max(slot.max_inbox);
-            }
+            let round_deliveries: u64 = slots.iter().map(|s| s.deliveries).sum();
+            let max_inbox = slots.iter().map(|s| s.max_inbox).max().unwrap_or(0);
             drop(slots);
             deliveries += round_deliveries;
             stats.push(RoundStats {
@@ -585,11 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_collects_round_stats() {
+    fn run_with_sink_collects_round_stats() {
         let net = GraphSequence::constant(Graph::star(4).unwrap());
         let mut sim = Simulator::new(net);
         let mut procs = RoundCounter::population(4);
-        let (report, stats) = sim.run_traced(&mut procs, 10);
+        let (report, stats) = sim.run_with_sink(&mut procs, 10, &mut NullSink);
         assert_eq!(report.rounds, 3);
         assert_eq!(stats.len(), 3);
         for (i, s) in stats.iter().enumerate() {
@@ -671,55 +483,60 @@ mod tests {
 
     #[test]
     fn threaded_run_is_byte_identical_across_thread_counts() {
-        // Unshuffled: serial, threaded(1) and threaded(4) must agree on
-        // the report, the stats and every process state.
-        let run = |threads: Option<usize>| {
-            let net = GraphSequence::constant(Graph::star(64).unwrap());
-            let mut sim = Simulator::new(net);
-            let mut procs = RoundCounter::population(64);
-            let out = match threads {
-                None => sim.run_traced(&mut procs, 10),
-                Some(t) => {
-                    sim = sim.with_threads(t);
-                    sim.run_traced_threaded(&mut procs, 10)
-                }
-            };
+        // A star spanning three receive chunks: the report, the stats and
+        // every process state must not depend on the worker count.
+        let n = 2 * CHUNK_NODES + 17;
+        let run = |threads: usize| {
+            let net = GraphSequence::constant(Graph::star(n).unwrap());
+            let mut sim = Simulator::new(net).with_threads(threads);
+            let mut procs = RoundCounter::population(n);
+            let out = sim.run_with_sink(&mut procs, 10, &mut NullSink);
             let heard: Vec<u64> = procs.iter().map(|p| p.heard).collect();
             (out, heard)
         };
-        let serial = run(None);
-        assert_eq!(serial, run(Some(1)));
-        assert_eq!(serial, run(Some(4)));
+        assert_eq!(run(1), run(4));
     }
 
-    #[test]
-    fn threaded_shuffle_is_thread_count_invariant() {
-        #[derive(Clone, PartialEq, Debug)]
-        struct Logger {
-            id: u64,
-            log: Vec<u64>,
-        }
-        impl Process for Logger {
-            type Msg = u64;
-            fn send(&mut self, _ctx: &SendContext) -> u64 {
-                self.id
-            }
-            fn receive(&mut self, ctx: RecvContext<'_, u64>) {
-                self.log.extend_from_slice(ctx.inbox);
-            }
-        }
-        let run = |threads: usize| {
-            let net = GraphSequence::constant(Graph::complete(12));
-            let mut sim = Simulator::new(net)
-                .shuffle_inboxes(7)
-                .with_threads(threads);
-            let mut procs: Vec<Logger> = (0..12)
+    /// Logs every message it receives, in inbox order.
+    #[derive(Clone, PartialEq, Debug)]
+    struct Logger {
+        id: u64,
+        log: Vec<u64>,
+    }
+
+    impl Logger {
+        fn population(n: u64) -> Vec<Logger> {
+            (0..n)
                 .map(|id| Logger {
                     id,
                     log: Vec::new(),
                 })
-                .collect();
-            sim.run_threaded(&mut procs, 3);
+                .collect()
+        }
+    }
+
+    impl Process for Logger {
+        type Msg = u64;
+        fn send(&mut self, _ctx: &SendContext) -> u64 {
+            self.id
+        }
+        fn receive(&mut self, ctx: RecvContext<'_, u64>) {
+            self.log.extend_from_slice(ctx.inbox);
+        }
+    }
+
+    #[test]
+    fn threaded_shuffle_is_thread_count_invariant() {
+        // A cycle spanning three receive chunks, so four workers really
+        // split the nodes between them.
+        let n = 2 * CHUNK_NODES + 17;
+        let run = |threads: usize| {
+            let net = GraphSequence::constant(Graph::cycle(n).unwrap());
+            let mut sim = Simulator::new(net)
+                .shuffle_inboxes(7)
+                .with_threads(threads);
+            let mut procs = Logger::population(n as u64);
+            sim.run(&mut procs, 3);
             procs
         };
         // The per-(seed, round, node) RNG makes shuffled runs identical
@@ -728,30 +545,27 @@ mod tests {
     }
 
     #[test]
+    fn shuffled_runs_are_split_invariant() {
+        // Repeated `run` calls continue one execution, shuffle included:
+        // three one-round calls equal one three-round call.
+        let net = GraphSequence::constant(Graph::complete(12));
+        let sim = || Simulator::new(net.clone()).shuffle_inboxes(7);
+        let mut whole = Logger::population(12);
+        sim().run(&mut whole, 3);
+        let mut split = Logger::population(12);
+        let mut stepped = sim();
+        for _ in 0..3 {
+            stepped.run(&mut split, 1);
+        }
+        assert_eq!(whole, split);
+    }
+
+    #[test]
     fn shuffled_inboxes_are_deterministic_per_seed() {
-        #[derive(Clone)]
-        struct Tagger {
-            id: u64,
-            log: Vec<u64>,
-        }
-        impl Process for Tagger {
-            type Msg = u64;
-            fn send(&mut self, _ctx: &SendContext) -> u64 {
-                self.id
-            }
-            fn receive(&mut self, ctx: RecvContext<'_, u64>) {
-                self.log.extend_from_slice(ctx.inbox);
-            }
-        }
         let run = |seed: u64| {
             let net = GraphSequence::constant(Graph::complete(5));
             let mut sim = Simulator::new(net).shuffle_inboxes(seed);
-            let mut procs: Vec<Tagger> = (0..5)
-                .map(|id| Tagger {
-                    id,
-                    log: Vec::new(),
-                })
-                .collect();
+            let mut procs = Logger::population(5);
             sim.run(&mut procs, 3);
             procs[0].log.clone()
         };

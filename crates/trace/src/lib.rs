@@ -20,7 +20,9 @@
 //! [`journal`] provides crash-safe line-atomic appends with per-line
 //! fsync (the substrate of the experiment runner's checkpoint/resume
 //! sidecars), and [`json`] a minimal JSON value parser for replaying
-//! structured journal records without external dependencies.
+//! structured journal records without external dependencies. A third,
+//! [`par`], holds [`par::claim_chunks`], the one deterministic
+//! chunk-claim loop behind every parallel phase of the workspace.
 //!
 //! # Examples
 //!
@@ -51,6 +53,7 @@
 
 pub mod json;
 pub mod journal;
+pub mod par;
 
 use core::fmt;
 use std::io::{self, Write};

@@ -108,9 +108,11 @@ if [[ $fast -eq 0 ]]; then
     "$cbin" --lint-bench BENCH_crossover.json >/dev/null
 fi
 
-echo "==> strict missing-docs on the simulation core (anonet-multigraph, anonet-netsim)"
+echo "==> strict missing-docs (anonet-multigraph, anonet-netsim, anonet-trace, anonet-linalg)"
 cargo rustc -p anonet-multigraph --lib --quiet -- -D missing-docs
 cargo rustc -p anonet-netsim --lib --quiet -- -D missing-docs
+cargo rustc -p anonet-trace --lib --quiet -- -D missing-docs
+cargo rustc -p anonet-linalg --lib --quiet -- -D missing-docs
 
 if [[ $fast -eq 0 ]]; then
     echo "==> fault-injection safety gate (exp_faults --smoke: zero silent-wrong with watchdogs on)"
